@@ -4,7 +4,8 @@
 #   make test    - full test suite (tier-1 gate)
 #   make race    - race-detector run over the parallel execution layers
 #   make vet     - static analysis
-#   make bench   - the headline benchmarks behind the Table II claims,
+#   make bench   - the headline benchmarks behind the Table II claims
+#               and the 1-D FFT kernel benchmarks,
 #               then regenerate BENCH_multires.json (full-res float64
 #               vs coarse-to-fine float32) and BENCH_tiled.json
 #               (monolithic vs tiled full-chip), both gated by benchdiff
@@ -17,7 +18,8 @@
 #   make benchjson - regenerate the "after" entry of BENCH_batchfft.json
 #   make benchgate - benchdiff smoke gate: identical inputs pass, a
 #               synthetically inflated copy must fail
-#   make ci      - build + vet + gofmt hygiene + test, the CI bundle
+#   make ci      - build + vet + gofmt hygiene + test + FFT kernel
+#               benchmark smoke, the CI bundle
 #   make check   - build + vet + test + race, the pre-commit bundle
 
 GO ?= go
@@ -118,12 +120,14 @@ fmtcheck:
 	fi
 
 # The CI bundle: static analysis + formatting hygiene + tier-1 build and
-# tests. GitHub Actions (.github/workflows/ci.yml) runs this target plus
-# the heavier race/trace/benchgate legs.
+# tests, then one iteration of each 1-D FFT kernel benchmark so they
+# keep compiling and running. GitHub Actions (.github/workflows/ci.yml)
+# runs the same steps plus the heavier race/trace/benchgate legs.
 ci: build vet fmtcheck test
+	$(GO) test -run '^$$' -bench 'FFT1D' -benchtime 1x ./internal/fft
 
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkTable2PerCase|BenchmarkAerialExact|BenchmarkAerialFused|BenchmarkGradient$$|BenchmarkBatch' -benchmem ./...
+	$(GO) test -run xxx -bench 'BenchmarkTable2PerCase|BenchmarkAerialExact|BenchmarkAerialFused|BenchmarkGradient$$|BenchmarkBatch|BenchmarkFFT1D' -benchmem ./...
 	$(GO) run ./cmd/benchjson -multires
 	$(GO) run ./cmd/benchdiff -old-labels baseline -new-labels multires BENCH_multires.json BENCH_multires.json
 	$(GO) run ./cmd/benchjson -tiled

@@ -35,9 +35,10 @@ var (
 // The banded variants exploit the band-limited kernel spectra of the
 // lithography model (optics.Kernel stores a (2R+1)² box around DC):
 // rows/columns known to be zero are skipped entirely. Skipping is
-// bit-exact — a radix-2 FFT of an all-zero vector is exactly zero — so
-// banded and full transforms agree bit-for-bit on every bin the caller
-// is allowed to read.
+// bit-exact — Plan transforms an all-zero vector to all +0 bits, in
+// either direction (pinned by TestZeroInZeroOut) — so banded and full
+// transforms agree bit-for-bit on every bin the caller is allowed to
+// read.
 //
 // A BatchPlan2D owns per-worker scratch and is NOT safe for concurrent
 // use; create one per goroutine (the immutable 1-D plans are shared

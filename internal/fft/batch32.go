@@ -14,8 +14,9 @@ import (
 // butterflies. The per-kernel field batch is the largest resident data
 // of a forward/adjoint pass, so halving its element size halves the
 // memory traffic of the hottest loops. The banded passes keep the same
-// exactness property as the float64 plan relative to their own
-// precision: skipped rows/columns are exactly zero in float32 too.
+// exactness property as the float64 plan: Plan32 also transforms an
+// all-zero vector to all +0 bits (TestPlan32ZeroInZeroOut), so skipped
+// rows/columns are exactly what a full pass would leave.
 //
 // A BatchPlan2D32 owns per-worker scratch and is NOT safe for concurrent
 // use; create one per goroutine.

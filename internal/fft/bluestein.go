@@ -9,7 +9,7 @@ import (
 // Bluestein's algorithm computes the DFT of arbitrary length n as a
 // circular convolution of length m ≥ 2n−1 (m a power of two), unlocking
 // non-power-of-two grids (e.g. odd-sized clip windows) at ~4× the cost
-// of a same-size radix-2 transform. The lithography pipeline itself
+// of a same-size power-of-two transform. The lithography pipeline itself
 // stays on power-of-two grids; this exists for tooling that must match
 // external data dimensions exactly.
 
@@ -21,7 +21,7 @@ type BluesteinPlan struct {
 	m     int
 	chirp []complex128 // w[k] = exp(-iπk²/n), k ∈ [0, n)
 	bHat  []complex128 // FFT of the padded conjugate-chirp kernel
-	plan  *Plan        // radix-2 plan of length m
+	plan  *Plan        // power-of-two plan of length m
 }
 
 // NewBluesteinPlan builds a plan for any length n ≥ 1.

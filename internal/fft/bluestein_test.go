@@ -38,7 +38,7 @@ func TestBluesteinMatchesRadix2OnPow2(t *testing.T) {
 	NewPlan(n).Forward(a)
 	NewBluesteinPlan(n).Forward(b)
 	if d := maxDiff(a, b); d > 1e-9*float64(n) {
-		t.Fatalf("Bluestein disagrees with radix-2: %g", d)
+		t.Fatalf("Bluestein disagrees with the power-of-two plan: %g", d)
 	}
 }
 

@@ -18,7 +18,9 @@ func naiveDFT(x []complex128) []complex128 {
 	for k := 0; k < n; k++ {
 		var s complex128
 		for j := 0; j < n; j++ {
-			ang := -2 * math.Pi * float64(k*j) / float64(n)
+			// Reducing kj mod n keeps the angle in [0, 2π), so the
+			// reference's own rounding stays well below the kernel's.
+			ang := -2 * math.Pi * float64(k*j%n) / float64(n)
 			s += x[j] * cmplx.Exp(complex(0, ang))
 		}
 		out[k] = s
@@ -45,27 +47,63 @@ func maxDiff(a, b []complex128) float64 {
 	return m
 }
 
+// kernelSizes covers both parities of log₂n (radix-2 or radix-4 first
+// stage) and the row lengths of PresetTest, PresetFast and full clips.
+var kernelSizes = []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 2048}
+
 func TestForwardMatchesNaiveDFT(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 8, 16, 64, 256} {
+	for _, n := range kernelSizes {
 		x := randComplex(n, int64(n))
 		want := naiveDFT(x)
 		got := append([]complex128(nil), x...)
 		NewPlan(n).Forward(got)
-		if d := maxDiff(got, want); d > 1e-9*float64(n) {
+		d := maxDiff(got, want)
+		if d > 1e-9*float64(n) {
 			t.Errorf("n=%d: max diff vs naive DFT = %g", n, d)
 		}
+		t.Logf("n=%d: max diff vs naive DFT = %.3g", n, d)
 	}
 }
 
 func TestRoundTripIdentity(t *testing.T) {
-	for _, n := range []int{2, 16, 128, 1024} {
+	for _, n := range []int{2, 8, 16, 32, 128, 512, 1024, 2048} {
 		p := NewPlan(n)
 		x := randComplex(n, 42)
 		y := append([]complex128(nil), x...)
 		p.Forward(y)
 		p.Inverse(y)
-		if d := maxDiff(x, y); d > 1e-10*float64(n) {
+		d := maxDiff(x, y)
+		if d > 1e-10*float64(n) {
 			t.Errorf("n=%d: round trip error %g", n, d)
+		}
+		t.Logf("n=%d: round trip error %.3g", n, d)
+	}
+}
+
+// TestZeroInZeroOut pins the invariant the banded batch passes rely on:
+// transforming an all-zero vector leaves every bit zero, so skipping a
+// known-zero row or column is bit-exact.
+func TestZeroInZeroOut(t *testing.T) {
+	for _, n := range kernelSizes {
+		p := NewPlan(n)
+		for _, run := range []func([]complex128){p.Forward, p.Inverse} {
+			x := make([]complex128, n)
+			run(x)
+			for i, v := range x {
+				if math.Float64bits(real(v)) != 0 || math.Float64bits(imag(v)) != 0 {
+					t.Fatalf("n=%d: bin %d of an all-zero transform is %v, want +0", n, i, v)
+				}
+			}
+		}
+	}
+}
+
+func TestPlanAllocatesNothing(t *testing.T) {
+	p := NewPlan(128)
+	x := randComplex(128, 1)
+	for name, run := range map[string]func([]complex128){"Forward": p.Forward, "Inverse": p.Inverse} {
+		if a := testing.AllocsPerRun(100, func() { run(x) }); a != 0 {
+			t.Errorf("Plan.%s: %v allocations per call, want 0", name, a)
 		}
 	}
 }
@@ -345,13 +383,54 @@ func TestTransposeRectangular(t *testing.T) {
 	}
 }
 
-func BenchmarkFFT1D1024(b *testing.B) {
-	p := NewPlan(1024)
-	x := randComplex(1024, 1)
+// The 1-D kernel benchmarks: forward and inverse at the row lengths of
+// PresetTest (128), PresetFast (512) and the paper's full clips (2048),
+// for both precisions. Every call starts from the same random vector:
+// transforming one buffer over and over would grow or shrink it by √n
+// a call into Inf or subnormals, whose arithmetic is not the kernel's.
+
+func BenchmarkFFT1DForward128(b *testing.B)    { benchFFT1D(b, 128, false) }
+func BenchmarkFFT1DForward512(b *testing.B)    { benchFFT1D(b, 512, false) }
+func BenchmarkFFT1DForward2048(b *testing.B)   { benchFFT1D(b, 2048, false) }
+func BenchmarkFFT1DInverse128(b *testing.B)    { benchFFT1D(b, 128, true) }
+func BenchmarkFFT1DInverse512(b *testing.B)    { benchFFT1D(b, 512, true) }
+func BenchmarkFFT1DInverse2048(b *testing.B)   { benchFFT1D(b, 2048, true) }
+func BenchmarkFFT1D32Forward128(b *testing.B)  { benchFFT1D32(b, 128, false) }
+func BenchmarkFFT1D32Forward512(b *testing.B)  { benchFFT1D32(b, 512, false) }
+func BenchmarkFFT1D32Forward2048(b *testing.B) { benchFFT1D32(b, 2048, false) }
+func BenchmarkFFT1D32Inverse128(b *testing.B)  { benchFFT1D32(b, 128, true) }
+func BenchmarkFFT1D32Inverse512(b *testing.B)  { benchFFT1D32(b, 512, true) }
+func BenchmarkFFT1D32Inverse2048(b *testing.B) { benchFFT1D32(b, 2048, true) }
+
+func benchFFT1D(b *testing.B, n int, inverse bool) {
+	p := NewPlan(n)
+	src := randComplex(n, 1)
+	x := make([]complex128, n)
+	run := p.Forward
+	if inverse {
+		run = p.Inverse
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Forward(x)
+		copy(x, src)
+		run(x)
+	}
+}
+
+func benchFFT1D32(b *testing.B, n int, inverse bool) {
+	p := NewPlan32(n)
+	src := toComplex64(randComplex(n, 1))
+	x := make([]complex64, n)
+	run := p.Forward
+	if inverse {
+		run = p.Inverse
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(x, src)
+		run(x)
 	}
 }
 
