@@ -43,8 +43,9 @@ race:
 	$(GO) test -race ./internal/engine ./internal/fft ./internal/litho ./internal/core ./internal/pixelilt ./internal/rt ./internal/obs ./internal/obs/recorder ./internal/solve ./internal/tiling .
 
 # Instrumented benchmark runs; fails if an emitted JSONL trace is
-# malformed, missing any event family of the taxonomy (DESIGN.md §9),
-# carries an unknown event kind (-strict) or violates the per-run
+# malformed, missing one of the run's event families (iteration, corner,
+# span), carries an unknown event kind (-strict; this also catches any
+# producer of the retired plan_cache/pool kinds) or violates the per-run
 # invariants (run ids everywhere, per-run monotonic iterations), then
 # prints the tracestats analytics report over the same trace. The tiled
 # leg runs with -serve attached (flag smoke: server up for the whole
@@ -59,7 +60,7 @@ race:
 # tracestats -bundle.
 trace:
 	$(GO) run ./cmd/lsopc -preset test -case B1 -iters 3 -health -tracefile /tmp/lsopc-trace.jsonl
-	$(GO) run ./cmd/tracecheck -strict -require iteration,corner,plan_cache,pool,span /tmp/lsopc-trace.jsonl
+	$(GO) run ./cmd/tracecheck -strict -require iteration,corner,span /tmp/lsopc-trace.jsonl
 	$(GO) run ./cmd/tracestats /tmp/lsopc-trace.jsonl
 	$(GO) run ./cmd/benchgen -dir /tmp/lsopc-bench -chip 2x2 -cells B1,B4
 	$(GO) run ./cmd/lsopc -preset test -glp /tmp/lsopc-bench/chip_2x2.glp -tiled -halo 256 -iters 3 -health -serve 127.0.0.1:0 -tracefile /tmp/lsopc-trace-tiled.jsonl

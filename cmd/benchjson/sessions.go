@@ -128,7 +128,6 @@ func sessionsMain(out, label, note, tracePath string, withSnapshot, withRecorder
 		sink := lsopc.NewJSONLTraceSink(f)
 		sinks = append(sinks, sink)
 		defer func() {
-			lsopc.SetRuntimeTrace(nil)
 			if err := lsopc.FlushTrace(sink); err != nil {
 				fatal(err)
 			}
@@ -152,10 +151,7 @@ func sessionsMain(out, label, note, tracePath string, withSnapshot, withRecorder
 		popts = append(popts, lsopc.WithFlightRecorder(rec))
 	}
 	if len(sinks) > 0 {
-		tee := lsopc.TeeTraceSink(sinks...)
-		lsopc.SetRuntimeTrace(tee)
-		defer lsopc.SetRuntimeTrace(nil)
-		popts = append(popts, lsopc.WithTraceSink(tee))
+		popts = append(popts, lsopc.WithTraceSink(lsopc.TeeTraceSink(sinks...)))
 	}
 	pipe, err := lsopc.NewPipeline(lsopc.PresetTest, eng, popts...)
 	if err != nil {

@@ -80,7 +80,7 @@ func main() {
 	flag.StringVar(&cfg.outGLP, "out-glp", "", "write the optimized mask geometry as a GLP file")
 	flag.BoolVar(&cfg.ascii, "ascii", false, "print an ASCII preview of target vs printed image")
 	flag.BoolVar(&cfg.trace, "trace", false, "print the per-iteration cost trace (level-set only)")
-	flag.StringVar(&cfg.tracePath, "tracefile", "", "write a structured JSONL event trace (iterations, corner timings, plan-cache and pool events) to this file")
+	flag.StringVar(&cfg.tracePath, "tracefile", "", "write a structured JSONL event trace (iterations, corner timings, job spans) to this file")
 	flag.StringVar(&cfg.metricsAddr, "metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this address for the duration of the run (e.g. 127.0.0.1:6060)")
 	flag.StringVar(&cfg.serveAddr, "serve", "", "serve live run status on this address for the duration of the run: /runs, /runs/{id}, /runs/{id}/events (SSE), /healthz, plus the -metrics endpoints (e.g. :6060)")
 	flag.BoolVar(&cfg.health, "health", false, "run the numerical-health watchdog (NaN/Inf, stall, divergence detection; aborts the run on an unhealthy iteration)")
@@ -203,8 +203,8 @@ func run(cfg cliConfig) error {
 		fmt.Fprintf(os.Stderr, "metrics endpoint on http://%s/metrics (pprof under /debug/pprof/)\n", srv.Addr())
 	}
 	// Trace sinks: the JSONL file (-tracefile) and the live telemetry
-	// feed (-serve) compose through one tee installed both as the
-	// runtime sink and as the pipeline sink.
+	// feed (-serve) compose through one tee attached as the pipeline
+	// sink.
 	var sinks []lsopc.TraceSink
 	var flight *lsopc.FlightRecorder
 	if cfg.serveAddr != "" {
@@ -230,8 +230,8 @@ func run(cfg cliConfig) error {
 		sinks = append(sinks, sink)
 		// The deferred flush runs on every exit path — a cancelled run's
 		// trace (including its cancelled/checkpoint events) still lands
-		// on disk. It runs after the tee's SetRuntimeTrace(nil) below
-		// (LIFO), so no events race the flush+close.
+		// on disk. It runs after the pipeline's Release below (LIFO), so
+		// no events race the flush+close.
 		defer func() {
 			if err := lsopc.FlushTrace(sink); err != nil {
 				fmt.Fprintln(os.Stderr, "lsopc: trace flush:", err)
@@ -260,13 +260,7 @@ func run(cfg cliConfig) error {
 		popts = append(popts, lsopc.WithFlightRecorder(flight))
 	}
 	if len(sinks) > 0 {
-		// Install as the runtime sink before the pipeline is built so
-		// plan-cache and pool events from bank/session construction land
-		// in the same stream as the optimizer's iteration events.
-		tee := lsopc.TeeTraceSink(sinks...)
-		lsopc.SetRuntimeTrace(tee)
-		defer lsopc.SetRuntimeTrace(nil)
-		popts = append(popts, lsopc.WithTraceSink(tee))
+		popts = append(popts, lsopc.WithTraceSink(lsopc.TeeTraceSink(sinks...)))
 	}
 	if cfg.health {
 		popts = append(popts, lsopc.WithHealthPolicy(lsopc.DefaultHealthPolicy()))

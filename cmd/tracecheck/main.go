@@ -21,7 +21,7 @@
 // Usage:
 //
 //	tracecheck run.jsonl
-//	tracecheck -require iteration,corner,plan_cache,pool run.jsonl
+//	tracecheck -require iteration,corner,span run.jsonl
 //	tracecheck -strict run.jsonl               # unknown event kinds fail
 //	lsopc -case B1 -tracefile /dev/stdout ... | tracecheck -
 package main
@@ -115,8 +115,6 @@ func main() {
 var knownTypes = map[string]bool{
 	obs.EventIteration:   true,
 	obs.EventCorner:      true,
-	obs.EventPlanCache:   true,
-	obs.EventPool:        true,
 	obs.EventSpan:        true,
 	obs.EventProgress:    true,
 	obs.EventHealth:      true,
@@ -127,15 +125,6 @@ var knownTypes = map[string]bool{
 	obs.EventCancelled:   true,
 	obs.EventCheckpoint:  true,
 	obs.EventCapture:     true,
-}
-
-// runtimeScoped are the process-level kinds legitimately emitted with
-// no run id (plan-cache lookups and pool leases during bank/session
-// construction, free-form progress lines).
-var runtimeScoped = map[string]bool{
-	obs.EventPlanCache: true,
-	obs.EventPool:      true,
-	obs.EventProgress:  true,
 }
 
 // check validates every line of the stream and tallies events per type;
@@ -166,7 +155,7 @@ func check(in io.Reader) (counts, unknown map[string]int, err error) {
 		}
 		if !knownTypes[e.Type] {
 			unknown[e.Type]++
-		} else if !runtimeScoped[e.Type] && e.Trace == "" {
+		} else if e.Type != obs.EventProgress && e.Trace == "" {
 			return nil, nil, fmt.Errorf("line %d: %s event without a run id (trace)", line, e.Type)
 		}
 		if e.Seq != 0 {

@@ -10,13 +10,13 @@ func TestCheckCountsPerType(t *testing.T) {
 		`{"type":"iteration","seq":1,"trace":"s1","iter":0,"cost":1}`,
 		`{"type":"iteration","seq":2,"trace":"s1","iter":1,"cost":0.5}`,
 		`{"type":"corner","seq":3,"trace":"s1","name":"forward","corner":"nominal"}`,
-		`{"type":"plan_cache","seq":4,"name":"plan1d","hit":true}`,
+		`{"type":"progress","seq":4,"msg":"warmup"}`,
 	}, "\n") + "\n"
 	counts, unknown, err := check(strings.NewReader(trace))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]int{"iteration": 2, "corner": 1, "plan_cache": 1}
+	want := map[string]int{"iteration": 2, "corner": 1, "progress": 1}
 	for typ, n := range want {
 		if counts[typ] != n {
 			t.Fatalf("counts[%s] = %d, want %d (all: %v)", typ, counts[typ], n, counts)
@@ -89,14 +89,10 @@ func TestCheckRequiresRunIDs(t *testing.T) {
 			t.Errorf("%s without run id: accepted", name)
 		}
 	}
-	// …while runtime-scoped kinds legitimately have none.
-	runtime := strings.Join([]string{
-		`{"type":"plan_cache","seq":1,"name":"plan1d","hit":true}`,
-		`{"type":"pool","seq":2,"name":"field.lease","hit":false}`,
-		`{"type":"progress","seq":3,"msg":"warmup"}`,
-	}, "\n") + "\n"
-	if _, _, err := check(strings.NewReader(runtime)); err != nil {
-		t.Fatalf("runtime-scoped events rejected: %v", err)
+	// …while progress lines legitimately have none.
+	progress := `{"type":"progress","seq":1,"msg":"warmup"}` + "\n"
+	if _, _, err := check(strings.NewReader(progress)); err != nil {
+		t.Fatalf("progress line without run id rejected: %v", err)
 	}
 }
 

@@ -1,12 +1,12 @@
 // Command tracestats turns the structured JSONL event traces written by
 // the -tracefile flag of cmd/lsopc and cmd/benchjson into human-readable
-// analytics: event inventory, plan-cache and pool hit rates, a per-phase
-// latency table with exact p50/p95/p99 over the raw span durations, and
-// per-session convergence summaries (slope of ln(cost), stalls,
-// non-finite costs, divergence, watchdog health events). Coarse-to-fine
-// traces additionally get per-resolution-level convergence segments and
-// per-grid-size corner phases ("corner:…@64"). Tiled runs (lsopc -tiled)
-// get per-tile latency percentiles and a stitch-pass convergence table.
+// analytics: event inventory, a per-phase latency table with exact
+// p50/p95/p99 over the raw span durations, and per-session convergence
+// summaries (slope of ln(cost), stalls, non-finite costs, divergence,
+// watchdog health events). Coarse-to-fine traces additionally get
+// per-resolution-level convergence segments and per-grid-size corner
+// phases ("corner:…@64"). Tiled runs (lsopc -tiled) get per-tile
+// latency percentiles and a stitch-pass convergence table.
 //
 // Usage:
 //
@@ -243,14 +243,6 @@ func printRun(r *analyze.Run, topN int) {
 	for _, t := range sortedKeys(r.ByType) {
 		fmt.Printf("  %-12s %d\n", t, r.ByType[t])
 	}
-	if r.PlanCache.Total() > 0 {
-		fmt.Printf("plan cache: %.1f%% hit (%d/%d)\n",
-			100*r.PlanCache.Rate(), r.PlanCache.Hits, r.PlanCache.Total())
-	}
-	if r.Pool.Total() > 0 {
-		fmt.Printf("pool:       %.1f%% hit (%d/%d leases, %d releases)\n",
-			100*r.Pool.Rate(), r.Pool.Hits, r.Pool.Total(), r.PoolReleases)
-	}
 
 	if td := r.Tiled; td != nil {
 		fmt.Printf("\ntiled: %d tiles, %d tile runs (%d converged)\n", td.Tiles, td.Runs, td.Converged)
@@ -349,8 +341,6 @@ func printDiff(d *analyze.RunDiff) {
 	if d.WallRatio > 0 {
 		fmt.Printf("wall ratio (B/A): %.3f\n", d.WallRatio)
 	}
-	fmt.Printf("plan cache hit: %.1f%% -> %.1f%%   pool hit: %.1f%% -> %.1f%%\n",
-		100*d.APlanHitRate, 100*d.BPlanHitRate, 100*d.APoolHitRate, 100*d.BPoolHitRate)
 
 	fmt.Printf("\n%-36s %7s %7s %10s %10s %8s\n",
 		"phase", "A cnt", "B cnt", "A p50", "B p50", "p50 B/A")

@@ -29,13 +29,6 @@ var (
 	mPlanMisses = obs.Default.Counter("fft.plan_cache.misses")
 )
 
-// tracePlanCache reports one cache lookup to the runtime trace sink.
-func tracePlanCache(n int, hit bool) {
-	if s := obs.Runtime(); s != nil {
-		s.Emit(obs.Event{Type: obs.EventPlanCache, Name: "plan1d", N: n, Hit: hit})
-	}
-}
-
 // Plan holds the precomputed tables for 1-D transforms of a fixed
 // power-of-two length. A Plan is immutable after creation and safe for
 // concurrent use.
@@ -351,19 +344,16 @@ func CachedPlan(n int) *Plan {
 	planCache.RUnlock()
 	if p != nil {
 		mPlanHits.Inc()
-		tracePlanCache(n, true)
 		return p
 	}
 	planCache.Lock()
 	defer planCache.Unlock()
 	if p, ok := planCache.m[n]; ok {
 		mPlanHits.Inc()
-		tracePlanCache(n, true)
 		return p
 	}
 	p = NewPlan(n)
 	planCache.m[n] = p
 	mPlanMisses.Inc()
-	tracePlanCache(n, false)
 	return p
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"lsopc/internal/grid"
-	"lsopc/internal/obs"
 )
 
 // Plan32 is the complex64 twin of Plan: the same radix-4 network and
@@ -178,14 +177,6 @@ func stage4InvScaled32(x []complex64, tw []twiddle32, s float32) {
 	}
 }
 
-// tracePlanCache32 reports one float32 plan-cache lookup to the runtime
-// trace sink.
-func tracePlanCache32(n int, hit bool) {
-	if s := obs.Runtime(); s != nil {
-		s.Emit(obs.Event{Type: obs.EventPlanCache, Name: "plan1d_f32", N: n, Hit: hit})
-	}
-}
-
 // planCache32 is the shared float32 plan cache, keyed by length.
 var planCache32 = struct {
 	sync.RWMutex
@@ -200,19 +191,16 @@ func CachedPlan32(n int) *Plan32 {
 	planCache32.RUnlock()
 	if p != nil {
 		mPlanHits.Inc()
-		tracePlanCache32(n, true)
 		return p
 	}
 	planCache32.Lock()
 	defer planCache32.Unlock()
 	if p, ok := planCache32.m[n]; ok {
 		mPlanHits.Inc()
-		tracePlanCache32(n, true)
 		return p
 	}
 	p = NewPlan32(n)
 	planCache32.m[n] = p
 	mPlanMisses.Inc()
-	tracePlanCache32(n, false)
 	return p
 }

@@ -9,6 +9,7 @@ import (
 
 	"lsopc/internal/engine"
 	"lsopc/internal/grid"
+	"lsopc/internal/obs"
 )
 
 // naiveDFT is the O(n²) reference transform.
@@ -222,6 +223,42 @@ func TestCachedPlanReuse(t *testing.T) {
 	}
 	if a.N() != 64 {
 		t.Fatalf("plan length %d", a.N())
+	}
+}
+
+// TestPlanCacheCounters pins the fft.plan_cache.* counters, the only
+// record of plan-cache activity: the first lookup of a length is one
+// miss and the second one hit, for both precisions. The length is
+// evicted first so the miss does not depend on test order or -count.
+func TestPlanCacheCounters(t *testing.T) {
+	const n = 1 << 13
+	hits := obs.Default.Counter("fft.plan_cache.hits")
+	misses := obs.Default.Counter("fft.plan_cache.misses")
+	for _, tc := range []struct {
+		name   string
+		evict  func()
+		lookup func()
+	}{
+		{"CachedPlan", func() {
+			planCache.Lock()
+			delete(planCache.m, n)
+			planCache.Unlock()
+		}, func() { CachedPlan(n) }},
+		{"CachedPlan32", func() {
+			planCache32.Lock()
+			delete(planCache32.m, n)
+			planCache32.Unlock()
+		}, func() { CachedPlan32(n) }},
+	} {
+		tc.evict()
+		for call, want := range []struct{ hits, misses int64 }{{0, 1}, {1, 0}} {
+			h0, m0 := hits.Value(), misses.Value()
+			tc.lookup()
+			if dh, dm := hits.Value()-h0, misses.Value()-m0; dh != want.hits || dm != want.misses {
+				t.Errorf("%s call %d: +%d hits +%d misses, want +%d +%d",
+					tc.name, call+1, dh, dm, want.hits, want.misses)
+			}
+		}
 	}
 }
 

@@ -4,8 +4,7 @@
 // runs and computes the summaries a human (or CI) actually wants —
 // per-session convergence curves with slope/stall/divergence analysis,
 // per-phase latency aggregation with interpolated-free exact
-// p50/p95/p99 over the raw span durations, plan-cache and pool hit
-// rates, and run-vs-run diffs.
+// p50/p95/p99 over the raw span durations, and run-vs-run diffs.
 //
 // The package depends only on internal/obs (for the Event schema) and
 // the standard library, so commands and tests can consume traces
@@ -20,7 +19,6 @@ import (
 	"math"
 	"os"
 	"sort"
-	"strings"
 	"time"
 
 	"lsopc/internal/obs"
@@ -147,23 +145,6 @@ type PhaseStats struct {
 	durs []int64
 }
 
-// HitRate is a hit/miss tally (plan-cache lookups, pool leases).
-type HitRate struct {
-	Hits   int `json:"hits"`
-	Misses int `json:"misses"`
-}
-
-// Rate returns hits/(hits+misses), 0 when nothing was counted.
-func (h HitRate) Rate() float64 {
-	if n := h.Hits + h.Misses; n > 0 {
-		return float64(h.Hits) / float64(n)
-	}
-	return 0
-}
-
-// Total returns the lookup count.
-func (h HitRate) Total() int { return h.Hits + h.Misses }
-
 // StitchPassStat is one halo-stitching consistency pass of a tiled run.
 type StitchPassStat struct {
 	Pass      int     `json:"pass"`
@@ -193,14 +174,10 @@ type Run struct {
 	Label  string `json:"label,omitempty"` // file name or caller-set tag
 	Events int    `json:"events"`
 	// WallNS spans the first to the last sink timestamp.
-	WallNS    int64               `json:"wall_ns"`
-	ByType    map[string]int      `json:"by_type"`
-	Sessions  map[string]*Session `json:"sessions"`
-	Phases    []PhaseStats        `json:"phases"`
-	PlanCache HitRate             `json:"plan_cache"`
-	Pool      HitRate             `json:"pool"`
-	// PoolReleases counts pool release events (not part of the hit rate).
-	PoolReleases int `json:"pool_releases"`
+	WallNS   int64               `json:"wall_ns"`
+	ByType   map[string]int      `json:"by_type"`
+	Sessions map[string]*Session `json:"sessions"`
+	Phases   []PhaseStats        `json:"phases"`
 	// Health is every watchdog event in the trace, in order.
 	Health []obs.Event `json:"health,omitempty"`
 	// Tiled is populated when the trace carries tile/stitch events.
@@ -318,20 +295,6 @@ func Parse(in io.Reader, th Thresholds) (*Run, error) {
 		case obs.EventSpan:
 			run.session(e.Trace, e.Engine)
 			run.observePhase("span:"+e.Name, e.DurNS)
-		case obs.EventPlanCache:
-			if e.Hit {
-				run.PlanCache.Hits++
-			} else {
-				run.PlanCache.Misses++
-			}
-		case obs.EventPool:
-			if strings.HasSuffix(e.Name, ".release") {
-				run.PoolReleases++
-			} else if e.Hit {
-				run.Pool.Hits++
-			} else {
-				run.Pool.Misses++
-			}
 		case obs.EventHealth:
 			run.Health = append(run.Health, e)
 			s := run.session(e.Trace, "")

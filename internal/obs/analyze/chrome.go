@@ -25,9 +25,8 @@ import (
 //     one timeline row per tile worker lane — while stitch_pass stays
 //     on the parent job's track.
 //   - health, cancelled and checkpoint events become "i" instant marks.
-//   - plan_cache, pool and progress events are omitted (tens of
-//     thousands of sub-microsecond records that swamp the timeline);
-//     WriteChromeTrace reports how many were skipped.
+//   - progress, capture and unknown kinds are omitted; WriteChromeTrace
+//     reports how many were skipped.
 //
 // Timestamps are rebased to the trace's first event: Chrome trace ts is
 // float64 microseconds, and raw unix nanos would lose precision there.
@@ -64,7 +63,7 @@ func safeArg(v float64) any {
 
 // WriteChromeTrace reads a JSONL event stream and writes the Chrome
 // trace JSON to w, returning the number of events skipped as
-// timeline-irrelevant (plan_cache/pool/progress and unknown kinds).
+// timeline-irrelevant (progress, capture and unknown kinds).
 func WriteChromeTrace(w io.Writer, in io.Reader) (skipped int, err error) {
 	var events []obs.Event
 	var baseNS int64

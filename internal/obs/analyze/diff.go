@@ -40,28 +40,17 @@ type ConvergenceDelta struct {
 
 // RunDiff is the structured comparison of two parsed traces.
 type RunDiff struct {
-	A            string           `json:"a,omitempty"` // labels
-	B            string           `json:"b,omitempty"`
-	WallRatio    float64          `json:"wall_ratio"` // B/A
-	Phases       []PhaseDelta     `json:"phases"`
-	Convergence  ConvergenceDelta `json:"convergence"`
-	APlanHitRate float64          `json:"a_plan_cache_hit_rate"`
-	BPlanHitRate float64          `json:"b_plan_cache_hit_rate"`
-	APoolHitRate float64          `json:"a_pool_hit_rate"`
-	BPoolHitRate float64          `json:"b_pool_hit_rate"`
+	A           string           `json:"a,omitempty"` // labels
+	B           string           `json:"b,omitempty"`
+	WallRatio   float64          `json:"wall_ratio"` // B/A
+	Phases      []PhaseDelta     `json:"phases"`
+	Convergence ConvergenceDelta `json:"convergence"`
 }
 
 // Diff compares two parsed runs phase-by-phase and on aggregate
 // convergence.
 func Diff(a, b *Run) *RunDiff {
-	d := &RunDiff{
-		A:            a.Label,
-		B:            b.Label,
-		APlanHitRate: a.PlanCache.Rate(),
-		BPlanHitRate: b.PlanCache.Rate(),
-		APoolHitRate: a.Pool.Rate(),
-		BPoolHitRate: b.Pool.Rate(),
-	}
+	d := &RunDiff{A: a.Label, B: b.Label}
 	if a.WallNS > 0 {
 		d.WallRatio = float64(b.WallNS) / float64(a.WallNS)
 	}

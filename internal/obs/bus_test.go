@@ -40,7 +40,7 @@ func TestBusTypeFilter(t *testing.T) {
 	defer sub.Close()
 	b.Emit(Event{Type: EventIteration, Trace: "s1", Iter: 1})
 	b.Emit(Event{Type: EventHealth, Trace: "s1", Msg: "cost_nan"})
-	b.Emit(Event{Type: EventPool, Name: "field.lease"})
+	b.Emit(Event{Type: EventProgress, Msg: "warmup"})
 	b.Emit(Event{Type: EventCancelled, Trace: "s1", Msg: "deadline"})
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)

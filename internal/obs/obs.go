@@ -13,10 +13,10 @@
 //     two atomic adds with zero heap allocations, cheap enough for the
 //     session-construction and per-FFT-batch call sites that use them.
 //   - Tracing is nil-gated. Hot paths guard every event with a plain
-//     `if sink != nil` (or an atomic load of the process Runtime sink),
-//     so the disabled path performs no allocation and no time.Now call —
-//     the alloc-regression tests enforce 0 allocs/op on the warm
-//     simulate and iteration paths with no sink attached.
+//     `if sink != nil`, so the disabled path performs no allocation
+//     and no time.Now call — the alloc-regression tests enforce 0
+//     allocs/op on the warm simulate and iteration paths with no sink
+//     attached.
 //
 // Event emission passes the Event struct by value, so enabling a sink
 // costs the sink's own work (JSON marshalling for JSONLSink) but the
@@ -30,7 +30,6 @@ import (
 	"io"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -43,11 +42,6 @@ const (
 	// EventCorner is one per-corner forward or forward+gradient
 	// simulation with its wall time (litho emits these).
 	EventCorner = "corner"
-	// EventPlanCache is an FFT plan-cache lookup (hit or miss).
-	EventPlanCache = "plan_cache"
-	// EventPool is an rt pool lease (hit = served from the free list,
-	// miss = fresh allocation) or release.
-	EventPool = "pool"
 	// EventSpan is a coarse job span: a whole optimize or evaluate call
 	// with its engine and wall time.
 	EventSpan = "span"
@@ -257,8 +251,6 @@ func (e Event) String() string {
 	case EventCorner:
 		return fmt.Sprintf("%s %s %s/%s %.3fms cost=%.6g",
 			e.Type, e.Trace, e.Name, e.Corner, float64(e.DurNS)/1e6, e.Cost)
-	case EventPlanCache, EventPool:
-		return fmt.Sprintf("%s %s n=%d hit=%v", e.Type, e.Name, e.N, e.Hit)
 	case EventSpan:
 		return fmt.Sprintf("%s %s %s engine=%s %.3fms", e.Type, e.Trace, e.Name, e.Engine, float64(e.DurNS)/1e6)
 	case EventHealth:
@@ -308,35 +300,6 @@ type Flusher interface {
 func Flush(s Sink) error {
 	if f, ok := s.(Flusher); ok && f != nil {
 		return f.Flush()
-	}
-	return nil
-}
-
-// runtimeSink is the process-level sink for events that originate below
-// any session handle: FFT plan-cache lookups and pool leases happen
-// inside shared caches with no session in scope, so they report here.
-// Stored behind an atomic pointer: the disabled path is one atomic load
-// and a nil check.
-type sinkHolder struct{ s Sink }
-
-var runtimeSink atomic.Pointer[sinkHolder]
-
-// SetRuntime installs (or, with nil, removes) the process-level trace
-// sink that receives plan-cache and pool events. Commands set it to the
-// same sink as their pipeline so one JSONL stream carries the full
-// picture.
-func SetRuntime(s Sink) {
-	if s == nil {
-		runtimeSink.Store(nil)
-		return
-	}
-	runtimeSink.Store(&sinkHolder{s: s})
-}
-
-// Runtime returns the process-level sink, or nil when tracing is off.
-func Runtime() Sink {
-	if h := runtimeSink.Load(); h != nil {
-		return h.s
 	}
 	return nil
 }

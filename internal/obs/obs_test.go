@@ -197,26 +197,6 @@ func TestLineSinkProgressPassthrough(t *testing.T) {
 	}
 }
 
-func TestRuntimeSinkSetAndClear(t *testing.T) {
-	if Runtime() != nil {
-		t.Fatal("runtime sink should start nil")
-	}
-	var c CollectorSink
-	SetRuntime(&c)
-	defer SetRuntime(nil)
-	if s := Runtime(); s == nil {
-		t.Fatal("runtime sink not installed")
-	}
-	Runtime().Emit(Event{Type: EventPool, Name: "field"})
-	if c.Len() != 1 {
-		t.Fatalf("events = %d, want 1", c.Len())
-	}
-	SetRuntime(nil)
-	if Runtime() != nil {
-		t.Fatal("runtime sink not cleared")
-	}
-}
-
 func TestWorkerBusy(t *testing.T) {
 	wb := NewWorkerBusy(4)
 	wb.Add(0, 10*time.Millisecond)

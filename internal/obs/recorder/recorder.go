@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
@@ -208,26 +207,16 @@ func (r *Recorder) snapshots() []obs.RuntimeStats {
 // rootOf collapses a tile sub-run id ("<job>.t<n>") to its parent job,
 // mirroring the run registry's convention. Allocation-free.
 func rootOf(id string) string {
-	i := strings.LastIndex(id, ".t")
-	if i <= 0 {
-		return id
+	if p := obs.ParentRun(id); p != "" {
+		return p
 	}
-	digits := id[i+2:]
-	if digits == "" {
-		return id
-	}
-	for _, c := range digits {
-		if c < '0' || c > '9' {
-			return id
-		}
-	}
-	return id[:i]
+	return id
 }
 
 // Emit implements obs.Sink: the event joins its root run's bounded
-// ring. Events with no run id (plan-cache, pool, progress) are
-// dropped — the postmortem story is per-run. The steady-state path
-// (ring already exists) performs no allocations.
+// ring. Events with no run id (progress lines) are dropped — the
+// postmortem story is per-run. The steady-state path (ring already
+// exists) performs no allocations.
 func (r *Recorder) Emit(e obs.Event) {
 	if e.Trace == "" {
 		return

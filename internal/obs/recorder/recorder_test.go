@@ -64,7 +64,7 @@ func TestRingConservation(t *testing.T) {
 					r.Emit(obs.Event{Type: obs.EventIteration, Trace: id, Iter: w*perEmit + i})
 				}
 				// Events with no run id are dropped, not counted.
-				r.Emit(obs.Event{Type: obs.EventPlanCache})
+				r.Emit(obs.Event{Type: obs.EventProgress})
 			}
 		}(w)
 	}

@@ -191,8 +191,9 @@ func (rr *RunRegistry) SetRetention(maxFinished, tailPoints int) {
 	}
 }
 
-// parentOf returns the tiled parent job id for "<job>.t<n>" ids, or "".
-func parentOf(id string) string {
+// ParentRun returns the tiled parent job id for a tile sub-run id
+// ("<job>.t<n>"), or "" when id is not a tile sub-run. Allocation-free.
+func ParentRun(id string) string {
 	i := strings.LastIndex(id, ".t")
 	if i <= 0 {
 		return ""
@@ -216,7 +217,7 @@ func (rr *RunRegistry) entry(id string, timeNS int64) *runEntry {
 	if !ok {
 		e = &runEntry{st: RunState{
 			ID:      id,
-			Parent:  parentOf(id),
+			Parent:  ParentRun(id),
 			Phase:   PhaseRunning,
 			StartNS: timeNS,
 		}}
@@ -246,15 +247,10 @@ func addChild(children []string, id string) []string {
 	return append(children, id)
 }
 
-// Emit implements Sink. Runtime-scoped events (plan_cache, pool,
-// progress) and events with no run id are ignored; everything else
-// folds into the owning run's state.
+// Emit implements Sink. Progress lines and events with no run id are
+// ignored; everything else folds into the owning run's state.
 func (rr *RunRegistry) Emit(e Event) {
-	switch e.Type {
-	case EventPlanCache, EventPool, EventProgress:
-		return
-	}
-	if e.Trace == "" {
+	if e.Type == EventProgress || e.Trace == "" {
 		return
 	}
 	rr.mu.Lock()

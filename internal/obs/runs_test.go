@@ -175,8 +175,6 @@ func TestRunRegistryFinishedRetention(t *testing.T) {
 
 func TestRunRegistryIgnoresRuntimeEvents(t *testing.T) {
 	rr := NewRunRegistry(NewRegistry())
-	rr.Emit(Event{Type: EventPlanCache, Name: "plan1d", Hit: true})
-	rr.Emit(Event{Type: EventPool, Name: "field.lease", Hit: false})
 	rr.Emit(Event{Type: EventProgress, Msg: "warmup"})
 	rr.Emit(Event{Type: EventIteration, Iter: 0, Cost: 1}) // no trace id
 	if runs := rr.Runs(); len(runs) != 0 {

@@ -31,21 +31,6 @@ var (
 	mReleases = obs.Default.Counter("rt.pool.releases")
 )
 
-// traceLease reports one lease to the runtime trace sink when tracing
-// is enabled (an atomic load and nil check otherwise).
-func traceLease(kind string, elems int, hit bool) {
-	if s := obs.Runtime(); s != nil {
-		s.Emit(obs.Event{Type: obs.EventPool, Name: kind, N: elems, Hit: hit})
-	}
-}
-
-// traceRelease reports one release to the runtime trace sink.
-func traceRelease(kind string, elems int) {
-	if s := obs.Runtime(); s != nil {
-		s.Emit(obs.Event{Type: obs.EventPool, Name: kind + ".release", N: elems})
-	}
-}
-
 // dims keys one free list by exact grid shape.
 type dims struct{ w, h int }
 
@@ -95,14 +80,12 @@ func (p *Pool) Field(w, h int) *grid.Field {
 	if v := list(&p.fields, dims{w, h}).Get(); v != nil {
 		atomic.AddInt64(&p.reuses, 1)
 		mReuses.Inc()
-		traceLease("field", w*h, true)
 		f := v.(*grid.Field)
 		f.Reshape(w, h)
 		f.Zero()
 		return f
 	}
 	mMisses.Inc()
-	traceLease("field", w*h, false)
 	return grid.NewField(w, h)
 }
 
@@ -113,7 +96,6 @@ func (p *Pool) PutField(f *grid.Field) {
 		return
 	}
 	mReleases.Inc()
-	traceRelease("field", len(f.Data))
 	list(&p.fields, dims{f.W, f.H}).Put(f)
 }
 
@@ -124,14 +106,12 @@ func (p *Pool) CField(w, h int) *grid.CField {
 	if v := list(&p.cfields, dims{w, h}).Get(); v != nil {
 		atomic.AddInt64(&p.reuses, 1)
 		mReuses.Inc()
-		traceLease("cfield", w*h, true)
 		c := v.(*grid.CField)
 		c.Reshape(w, h)
 		c.Zero()
 		return c
 	}
 	mMisses.Inc()
-	traceLease("cfield", w*h, false)
 	return grid.NewCField(w, h)
 }
 
@@ -142,7 +122,6 @@ func (p *Pool) PutCField(c *grid.CField) {
 		return
 	}
 	mReleases.Inc()
-	traceRelease("cfield", len(c.Data))
 	list(&p.cfields, dims{c.W, c.H}).Put(c)
 }
 
@@ -154,14 +133,12 @@ func (p *Pool) CField32(w, h int) *grid.CField32 {
 	if v := list(&p.cfields32, dims{w, h}).Get(); v != nil {
 		atomic.AddInt64(&p.reuses, 1)
 		mReuses.Inc()
-		traceLease("cfield32", w*h, true)
 		c := v.(*grid.CField32)
 		c.Reshape(w, h)
 		c.Zero()
 		return c
 	}
 	mMisses.Inc()
-	traceLease("cfield32", w*h, false)
 	return grid.NewCField32(w, h)
 }
 
@@ -172,7 +149,6 @@ func (p *Pool) PutCField32(c *grid.CField32) {
 		return
 	}
 	mReleases.Inc()
-	traceRelease("cfield32", len(c.Data))
 	list(&p.cfields32, dims{c.W, c.H}).Put(c)
 }
 

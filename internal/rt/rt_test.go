@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"lsopc/internal/grid"
+	"lsopc/internal/obs"
 	"lsopc/internal/optics"
 )
 
@@ -99,6 +100,58 @@ func TestPoolCField32ReuseAndZeroing(t *testing.T) {
 	}
 	if !recycled {
 		t.Fatal("free list never recycled a buffer")
+	}
+}
+
+// TestPoolCounters pins the rt.pool.* counters, the only record of pool
+// activity (the benchmark's rt.pool.reuse_ratio reads them): lease →
+// put → lease on a fresh pool is two leases, one release, and one miss
+// plus one reuse when the free list hands the buffer back.
+func TestPoolCounters(t *testing.T) {
+	names := [...]string{"rt.pool.leases", "rt.pool.misses", "rt.pool.reuses", "rt.pool.releases"}
+	kinds := []struct {
+		name  string
+		cycle func(p *Pool) (reused bool)
+	}{
+		{"field", func(p *Pool) bool {
+			f := p.Field(8, 4)
+			p.PutField(f)
+			return &p.Field(8, 4).Data[0] == &f.Data[0]
+		}},
+		{"cfield", func(p *Pool) bool {
+			c := p.CField(8, 4)
+			p.PutCField(c)
+			return &p.CField(8, 4).Data[0] == &c.Data[0]
+		}},
+		{"cfield32", func(p *Pool) bool {
+			c := p.CField32(8, 4)
+			p.PutCField32(c)
+			return &p.CField32(8, 4).Data[0] == &c.Data[0]
+		}},
+	}
+	for _, k := range kinds {
+		// sync.Pool may drop a Put (deliberately so under the race
+		// detector), so cycle until one lease is served from the list.
+		reused := false
+		for round := 0; round < 100 && !reused; round++ {
+			var before [len(names)]int64
+			for i, n := range names {
+				before[i] = obs.Default.Counter(n).Value()
+			}
+			reused = k.cycle(NewPool())
+			want := [len(names)]int64{2, 2, 0, 1}
+			if reused {
+				want = [len(names)]int64{2, 1, 1, 1}
+			}
+			for i, n := range names {
+				if d := obs.Default.Counter(n).Value() - before[i]; d != want[i] {
+					t.Fatalf("%s round %d (reused=%v): %s +%d, want +%d", k.name, round, reused, n, d, want[i])
+				}
+			}
+		}
+		if !reused {
+			t.Fatalf("%s: free list never recycled a buffer", k.name)
+		}
 	}
 }
 

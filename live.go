@@ -53,8 +53,7 @@ func OpenBundle(dir string) (*BundleManifest, error) { return recorder.Open(dir)
 // runtime sampler feeding process-health gauges; with WithFlightDir the
 // server also owns a flight recorder that records every attached run
 // and serves on-demand bundle captures. Build one with ServeLive,
-// attach Sink() to pipelines (and SetRuntimeTrace), and Shutdown when
-// done.
+// attach Sink() to pipelines, and Shutdown when done.
 type LiveServer struct {
 	bus  *obs.Bus
 	runs *obs.RunRegistry
@@ -82,7 +81,6 @@ func WithFlightDir(dir string) LiveOption {
 //
 //	live, _ := lsopc.ServeLive(":6060", lsopc.WithFlightDir("flight"))
 //	defer live.Shutdown(context.Background())
-//	lsopc.SetRuntimeTrace(live.Sink())
 //	pipe.WithTraceSink(lsopc.TeeTraceSink(jsonlSink, live.Sink()))
 //
 // With zero attached SSE clients the bus adds no allocations to the

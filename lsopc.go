@@ -106,8 +106,6 @@ func ParsePrecision(s string) (Precision, error) { return litho.ParsePrecision(s
 const (
 	EventIteration = obs.EventIteration // one optimizer step
 	EventCorner    = obs.EventCorner    // one per-corner simulate span
-	EventPlanCache = obs.EventPlanCache // one FFT plan-cache lookup
-	EventPool      = obs.EventPool      // one field-pool lease/release
 	EventSpan      = obs.EventSpan      // one pipeline job span
 	EventProgress  = obs.EventProgress  // free-form progress line
 	EventHealth    = obs.EventHealth    // one numerical-health verdict
@@ -177,13 +175,6 @@ func MetricsSnapshot() map[string]float64 { return obs.Default.Snapshot() }
 func ServeMetrics(addr string) (*ObsServer, error) {
 	return obs.Serve(addr, obs.Default, nil, nil, nil)
 }
-
-// SetRuntimeTrace installs a process-wide sink for events that have no
-// session in scope (plan-cache lookups, pool leases inside bank and
-// session construction). Install it before building pipelines to catch
-// construction-time events; pass nil to disable. The sink must be safe
-// for concurrent use.
-func SetRuntimeTrace(s TraceSink) { obs.SetRuntime(s) }
 
 // FlushTrace flushes a sink if it buffers (nil-safe).
 func FlushTrace(s TraceSink) error { return obs.Flush(s) }

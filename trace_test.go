@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"lsopc/internal/core"
-	"lsopc/internal/litho"
 	"lsopc/internal/obs"
 )
 
@@ -23,11 +21,6 @@ import (
 func TestConcurrentSessionTraceIntegrity(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONLTraceSink(&buf)
-	// The runtime sink carries the session-less pool/plan-cache events;
-	// pointing it at the same JSONL stream mirrors the CLI's -tracefile
-	// wiring and exercises the shared-mutex serialization under -race.
-	SetRuntimeTrace(sink)
-	defer SetRuntimeTrace(nil)
 	p, err := NewPipeline(PresetTest, GPUEngine(), WithTraceSink(sink))
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +81,7 @@ func TestConcurrentSessionTraceIntegrity(t *testing.T) {
 			iters[e.Trace] = append(iters[e.Trace], e)
 		}
 	}
-	for _, kind := range []string{EventIteration, EventCorner, EventSpan, EventPool} {
+	for _, kind := range []string{EventIteration, EventCorner, EventSpan} {
 		if kinds[kind] == 0 {
 			t.Errorf("no %q events in trace (got %v)", kind, kinds)
 		}
@@ -117,67 +110,6 @@ func TestConcurrentSessionTraceIntegrity(t *testing.T) {
 				t.Errorf("trace %s iter %d diverges: cost=%g gradnorm=%g want cost=%g gradnorm=%g",
 					trace, i, seq[i].Cost, seq[i].GradNorm, ref[i].Cost, ref[i].GradNorm)
 			}
-		}
-	}
-}
-
-// TestTraceEventKinds drives one optimization with both the runtime sink
-// (plan-cache and pool events from bank construction) and a per-run sink
-// installed, and asserts every event family of the taxonomy shows up.
-// The simulator uses a grid size no other test in this binary touches,
-// so the process-wide FFT plan cache genuinely misses.
-func TestTraceEventKinds(t *testing.T) {
-	c := NewCollectorTraceSink()
-	SetRuntimeTrace(c)
-	defer SetRuntimeTrace(nil)
-
-	cfg := litho.DefaultConfig(32, 48)
-	cfg.Optics.Kernels = 2
-	sim, err := litho.NewSimulator(cfg, CPUEngine())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sim.Release()
-	sim.SetSink(c, "t1")
-
-	target := NewField(32, 32)
-	for y := 12; y < 20; y++ {
-		for x := 6; x < 26; x++ {
-			target.Set(x, y, 1)
-		}
-	}
-	opts := core.DefaultOptions()
-	opts.MaxIter = 2
-	opts.Sink = c
-	opts.TraceID = "t1"
-	opt, err := core.New(sim, target, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer opt.Release()
-	if _, err := opt.Run(); err != nil {
-		t.Fatal(err)
-	}
-
-	kinds := map[string]int{}
-	sawPlanMiss := false
-	for _, e := range c.Events() {
-		kinds[e.Type]++
-		if e.Type == EventPlanCache && !e.Hit {
-			sawPlanMiss = true
-		}
-	}
-	for _, kind := range []string{EventIteration, EventCorner, EventPlanCache, EventPool} {
-		if kinds[kind] == 0 {
-			t.Errorf("no %q events collected (got %v)", kind, kinds)
-		}
-	}
-	if !sawPlanMiss {
-		t.Errorf("expected at least one plan-cache miss for the fresh grid size (got %v)", kinds)
-	}
-	for _, e := range c.Events() {
-		if e.Type == EventIteration && e.Trace != "t1" {
-			t.Errorf("iteration event carries trace %q, want %q", e.Trace, "t1")
 		}
 	}
 }
