@@ -17,9 +17,10 @@
 #               the chrome-export golden test
 #   make benchjson - regenerate the "after" entry of BENCH_batchfft.json
 #   make benchgate - benchdiff smoke gate: identical inputs pass, a
-#               synthetically inflated copy must fail
+#               synthetically inflated copy must fail; multires, tiled
+#               and flight-recorder overhead gated by benchdiff
 #   make ci      - build + vet + gofmt hygiene + test + FFT kernel
-#               benchmark smoke, the CI bundle
+#               benchmark smoke + checkpoint fuzz, the CI bundle
 #   make check   - build + vet + test + race, the pre-commit bundle
 
 GO ?= go
@@ -93,6 +94,14 @@ trace:
 # monolithic vs tiled; the 0.67 threshold is the issue's >= 0.6·N
 # speedup bound at N=1 worker (tiled <= monolithic/0.6), so on any
 # N-worker host the gate only gets easier to clear.
+# The obs leg gates the cost of observing: fresh -sessions runs of the
+# sessions/1 mode with no trace sink (obs-N) and with a flight recorder
+# teed into the trace path (obs-recorder-N), interleaved so host drift
+# hits both sides alike. On a 2-vCPU host single runs of this mode
+# spread about +-10% (recorder/plain ratio 0.87-1.09 over 8 pairs);
+# min-of-3 per side narrows that, and ten consecutive runs of this leg
+# gave ratios of 0.91-1.07 in 11-15 s each. A 15% threshold therefore
+# trips on a real recorder regression, not on noise.
 benchgate:
 	$(GO) run ./cmd/benchjson -bench BatchFFT -label r1 -o /tmp/lsopc-benchgate.json
 	$(GO) run ./cmd/benchjson -bench BatchFFT -label r2 -o /tmp/lsopc-benchgate.json
@@ -107,6 +116,12 @@ benchgate:
 	$(GO) run ./cmd/benchdiff -old-labels baseline -new-labels multires /tmp/lsopc-benchgate-multires.json /tmp/lsopc-benchgate-multires.json
 	$(GO) run ./cmd/benchjson -tiled -o /tmp/lsopc-benchgate-tiled.json
 	$(GO) run ./cmd/benchdiff -old-labels monolithic -new-labels tiled -threshold 0.67 /tmp/lsopc-benchgate-tiled.json /tmp/lsopc-benchgate-tiled.json
+	rm -f /tmp/lsopc-benchgate-obs.json
+	for i in 1 2 3; do \
+		$(GO) run ./cmd/benchjson -sessions -bench sessions/1 -label obs-$$i -o /tmp/lsopc-benchgate-obs.json && \
+		$(GO) run ./cmd/benchjson -sessions -recorder -bench sessions/1 -label obs-recorder-$$i -o /tmp/lsopc-benchgate-obs.json || exit 1; \
+	done
+	$(GO) run ./cmd/benchdiff -old-labels obs-1,obs-2,obs-3 -new-labels obs-recorder-1,obs-recorder-2,obs-recorder-3 -threshold 0.15 /tmp/lsopc-benchgate-obs.json /tmp/lsopc-benchgate-obs.json
 
 vet:
 	$(GO) vet ./...
@@ -122,10 +137,12 @@ fmtcheck:
 
 # The CI bundle: static analysis + formatting hygiene + tier-1 build and
 # tests, then one iteration of each 1-D FFT kernel benchmark so they
-# keep compiling and running. GitHub Actions (.github/workflows/ci.yml)
-# runs the same steps plus the heavier race/trace/benchgate legs.
+# keep compiling and running, then a short fuzz of checkpoint decoding
+# and restore. GitHub Actions (.github/workflows/ci.yml) runs the same
+# steps plus the heavier race/trace/benchgate legs.
 ci: build vet fmtcheck test
 	$(GO) test -run '^$$' -bench 'FFT1D' -benchtime 1x ./internal/fft
+	$(GO) test -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime 10s ./internal/solve
 
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkTable2PerCase|BenchmarkAerialExact|BenchmarkAerialFused|BenchmarkGradient$$|BenchmarkBatch|BenchmarkFFT1D' -benchmem ./...
@@ -137,8 +154,8 @@ bench:
 benchjson:
 	$(GO) run ./cmd/benchjson -label after
 
-# Concurrent-session throughput (layouts/sec at 1, 2, NumCPU sessions)
-# versus the dedicated-pipeline-per-job architecture.
+# Concurrent-session throughput (wall ns per layout at 1, 2, NumCPU
+# sessions) versus the dedicated-pipeline-per-job architecture.
 benchsessions:
 	$(GO) run ./cmd/benchjson -sessions -label after
 

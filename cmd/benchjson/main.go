@@ -13,11 +13,11 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -31,9 +31,9 @@ import (
 	"lsopc/internal/litho"
 )
 
-// The artefact schema (File/Run/Measurement) lives in internal/benchfmt,
-// shared with cmd/benchdiff so the regression gate reads exactly what
-// this command writes.
+// Every leg writes the one internal/benchfmt schema (File/Run/
+// Measurement) through newRun, measure and save, so cmd/benchdiff
+// gates exactly what this command writes.
 
 func main() {
 	out := flag.String("o", "", "output JSON file (merged in place)")
@@ -44,7 +44,6 @@ func main() {
 	multires := flag.Bool("multires", false, "measure Table II per-case runtime, full-res float64 vs coarse-to-fine float32 (BENCH_multires.json)")
 	tiled := flag.Bool("tiled", false, "measure full-chip runtime, monolithic window vs tiled overlap-halo optimization (BENCH_tiled.json)")
 	tracePath := flag.String("tracefile", "", "write a structured JSONL event trace of the sessions sweep to this file")
-	metrics := flag.Bool("metrics", false, "store the full flat metrics snapshot with the run (sessions mode)")
 	recorder := flag.Bool("recorder", false, "tee a flight recorder into the sweep's trace path to measure its emit overhead (sessions mode)")
 	flag.Parse()
 	if *multires {
@@ -72,60 +71,74 @@ func main() {
 		if *out == "" {
 			*out = "BENCH_sessions.json"
 		}
-		sessionsMain(*out, *label, *note, *tracePath, *metrics, *recorder)
+		sessionsMain(*out, *label, *note, *filter, *tracePath, *recorder)
 		return
 	}
 	if *out == "" {
 		*out = "BENCH_batchfft.json"
 	}
 
-	benches := benchmarks()
-	run := benchfmt.Run{
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Note:       *note,
-		Benchmarks: map[string]benchfmt.Measurement{},
-	}
-	for _, b := range benches {
-		if *filter != "" && !strings.Contains(b.name, *filter) {
+	run := newRun(*note)
+	for _, b := range benchmarks() {
+		if !strings.Contains(b.name, *filter) {
 			continue
 		}
 		fmt.Fprintf(os.Stderr, "running %-28s ", b.name)
-		r := testing.Benchmark(b.fn)
-		m := benchfmt.Measurement{
-			NsPerOp:     r.NsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			Iterations:  r.N,
-		}
-		run.Benchmarks[b.name] = m
-		fmt.Fprintf(os.Stderr, "%12d ns/op %8d B/op %5d allocs/op (n=%d)\n",
-			m.NsPerOp, m.BytesPerOp, m.AllocsPerOp, m.Iterations)
+		run.Benchmarks[b.name] = measure(b.fn)
 	}
+	save(*out, "Benchmarks for the batched kernel-parallel FFT execution and concurrent process-corner simulation. Labels: seed = before the change, after = with batched/banded FFT paths.",
+		map[string]benchfmt.Run{*label: run})
+}
 
-	file := benchfmt.File{
-		Description: "Benchmarks for the batched kernel-parallel FFT execution and concurrent process-corner simulation. Labels: seed = before the change, after = with batched/banded FFT paths.",
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		Runs:        map[string]benchfmt.Run{},
+// newRun returns an empty run stamped with the host's header.
+func newRun(note string) benchfmt.Run {
+	return benchfmt.Run{
+		Timestamp:  time.Now().UTC().Format(time.RFC3339),
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		Note:       note,
+		Benchmarks: map[string]benchfmt.Measurement{},
 	}
-	if data, err := os.ReadFile(*out); err == nil {
-		if err := json.Unmarshal(data, &file); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %s exists but is not valid JSON: %v\n", *out, err)
-			os.Exit(1)
-		}
-	}
-	if file.Runs == nil {
-		file.Runs = map[string]benchfmt.Run{}
-	}
-	file.Runs[*label] = run
+}
 
-	if err := file.Save(*out); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+// measure runs fn under the standard testing.Benchmark driver, so
+// ns/op, B/op and allocs/op match `go test -bench -benchmem`, and
+// prints the result. testing.Benchmark discards b.Fatal's message and
+// returns a zero result, so benchmark bodies here report errors with
+// fatal instead.
+func measure(fn func(b *testing.B)) benchfmt.Measurement {
+	r := testing.Benchmark(fn)
+	m := benchfmt.Measurement{
+		NsPerOp:     r.NsPerOp(),
+		BytesPerOp:  r.AllocedBytesPerOp(),
+		AllocsPerOp: r.AllocsPerOp(),
+		Iterations:  r.N,
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s (label %q, %d benchmarks)\n", *out, *label, len(run.Benchmarks))
+	fmt.Fprintf(os.Stderr, "%12d ns/op %10d B/op %7d allocs/op (n=%d)\n",
+		m.NsPerOp, m.BytesPerOp, m.AllocsPerOp, m.Iterations)
+	return m
+}
+
+// save merges the labelled runs into the artefact at out. A run the
+// -bench filter left empty is refused rather than recorded.
+func save(out, description string, runs map[string]benchfmt.Run) {
+	labels := make([]string, 0, len(runs))
+	for label, run := range runs {
+		if len(run.Benchmarks) == 0 {
+			fatal(fmt.Errorf("run %q measured no benchmarks (check -bench)", label))
+		}
+		labels = append(labels, label)
+	}
+	if err := benchfmt.Merge(out, description, runs); err != nil {
+		fatal(err)
+	}
+	sort.Strings(labels)
+	fmt.Fprintf(os.Stderr, "wrote %s (labels %s)\n", out, strings.Join(labels, "+"))
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "benchjson:", err)
+	os.Exit(1)
 }
 
 type namedBench struct {
@@ -152,27 +165,27 @@ func benchTable2(eng *lsopc.Engine) func(b *testing.B) {
 	return func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := experiments.EngineRuntime(lsopc.PresetTest, "B4", eng, 10); err != nil {
-				b.Fatal(err)
+				fatal(err)
 			}
 		}
 	}
 }
 
-func benchPipeline(b *testing.B) (*lsopc.Pipeline, *lsopc.Field, *grid.CField) {
+func benchPipeline() (*lsopc.Pipeline, *lsopc.Field, *grid.CField) {
 	pipe, err := lsopc.NewPipeline(lsopc.PresetTest, lsopc.GPUEngine())
 	if err != nil {
-		b.Fatal(err)
+		fatal(err)
 	}
 	target, err := pipe.Target(lsopc.Benchmark("B4"))
 	if err != nil {
-		b.Fatal(err)
+		fatal(err)
 	}
 	return pipe, target, pipe.Simulator().MaskSpectrum(target)
 }
 
 func benchAerial(fused bool) func(b *testing.B) {
 	return func(b *testing.B) {
-		pipe, target, spec := benchPipeline(b)
+		pipe, target, spec := benchPipeline()
 		sim := pipe.Simulator()
 		out := grid.NewField(target.W, target.H)
 		b.ReportAllocs()
@@ -188,7 +201,7 @@ func benchAerial(fused bool) func(b *testing.B) {
 }
 
 func benchGradient(b *testing.B) {
-	pipe, target, spec := benchPipeline(b)
+	pipe, target, spec := benchPipeline()
 	sim := pipe.Simulator()
 	n := sim.GridSize()
 	grad := grid.NewField(n, n)

@@ -1,13 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"lsopc"
 	"lsopc/internal/benchfmt"
@@ -30,13 +27,11 @@ func multiresMain(out, note, filter string) {
 
 	basePipe, err := lsopc.NewPipeline(lsopc.PresetTest, lsopc.GPUEngine())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	fastPipe, err := lsopc.NewPipeline(lsopc.PresetTest, lsopc.GPUEngine(), lsopc.WithPrecision(lsopc.Float32))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 
 	baseOpts := lsopc.DefaultLevelSetOptions()
@@ -54,69 +49,30 @@ func multiresMain(out, note, filter string) {
 		{"multires", fastPipe, fastOpts, "coarse-to-fine factor 2 + float32 batches; " + note},
 	}
 
-	file := benchfmt.File{
-		Description: "Table II per-case optimization runtime (PresetTest, 10 iterations): full-resolution float64 baseline vs coarse-to-fine multi-resolution with float32 spectral batches. Quality equivalence (final EPE/PVB within tolerance on all ten ICCAD cases) is enforced by TestMultiResMatchesBaselineQuality; this artefact locks in the speed side via cmd/benchdiff (-old-labels baseline -new-labels multires).",
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		Runs:        map[string]benchfmt.Run{},
-	}
-	if data, err := os.ReadFile(out); err == nil {
-		if err := json.Unmarshal(data, &file); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %s exists but is not valid JSON: %v\n", out, err)
-			os.Exit(1)
-		}
-	}
-	if file.Runs == nil {
-		file.Runs = map[string]benchfmt.Run{}
-	}
-
-	runs := make([]benchfmt.Run, len(variants))
-	for i, v := range variants {
-		runs[i] = benchfmt.Run{
-			Timestamp:  time.Now().UTC().Format(time.RFC3339),
-			GoMaxProcs: runtime.GOMAXPROCS(0),
-			NumCPU:     runtime.NumCPU(),
-			Note:       v.note,
-			Benchmarks: map[string]benchfmt.Measurement{},
-		}
+	runs := map[string]benchfmt.Run{}
+	for _, v := range variants {
+		runs[v.label] = newRun(v.note)
 	}
 	// Variants interleave per case (baseline then multires back to back)
 	// so slow thermal/host drift across the sweep cannot masquerade as a
 	// variant difference.
 	for _, spec := range lsopc.Benchmarks() {
 		name := "Table2PerCase/" + spec.ID
-		if filter != "" && !strings.Contains(name, filter) {
+		if !strings.Contains(name, filter) {
 			continue
 		}
 		layout := lsopc.Benchmark(spec.ID)
-		for i, v := range variants {
+		for _, v := range variants {
 			pipe, opts := v.pipe, v.opts
 			fmt.Fprintf(os.Stderr, "running %-10s %-22s ", v.label, name)
-			r := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
+			runs[v.label].Benchmarks[name] = measure(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, err := pipe.OptimizeLevelSet(layout, opts); err != nil {
-						b.Fatal(err)
+						fatal(err)
 					}
 				}
 			})
-			m := benchfmt.Measurement{
-				NsPerOp:     r.NsPerOp(),
-				BytesPerOp:  r.AllocedBytesPerOp(),
-				AllocsPerOp: r.AllocsPerOp(),
-				Iterations:  r.N,
-			}
-			runs[i].Benchmarks[name] = m
-			fmt.Fprintf(os.Stderr, "%12d ns/op (n=%d)\n", m.NsPerOp, m.Iterations)
 		}
 	}
-	for i, v := range variants {
-		file.Runs[v.label] = runs[i]
-	}
-
-	if err := file.Save(out); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (labels baseline+multires)\n", out)
+	save(out, "Table II per-case optimization runtime (PresetTest, 10 iterations): full-resolution float64 baseline vs coarse-to-fine multi-resolution with float32 spectral batches. Quality equivalence (final EPE/PVB within tolerance on all ten ICCAD cases) is enforced by TestMultiResMatchesBaselineQuality; this artefact locks in the speed side via cmd/benchdiff (-old-labels baseline -new-labels multires).", runs)
 }

@@ -1,8 +1,8 @@
 package main
 
-// Concurrent-throughput mode (-sessions): how many full level-set
-// optimization jobs per second the runtime sustains across the ten
-// ICCAD benchmarks, comparing
+// Concurrent-throughput mode (-sessions): how fast the runtime works
+// through full level-set optimization jobs over the ten ICCAD
+// benchmarks, comparing
 //
 //   - dedicated-pipelines — the pre-session architecture: every job
 //     synthesises its own SOCS kernel banks and allocates fresh
@@ -13,78 +13,26 @@ package main
 //
 // Every mode runs the identical core optimization (same schedule, same
 // iteration budget), so the delta is purely the resource architecture.
-// Results land in BENCH_sessions.json keyed by run label.
+// One benchmark op is one layout: ns_per_op is wall time per layout
+// (1e9/ns_per_op layouts per second). Results land in
+// BENCH_sessions.json keyed by run label.
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
-	"time"
+	"testing"
 
 	"lsopc"
+	"lsopc/internal/benchfmt"
 	"lsopc/internal/core"
 	"lsopc/internal/grid"
 	"lsopc/internal/litho"
-	"lsopc/internal/obs"
 	"lsopc/internal/optics"
 )
-
-// SessionsMeasurement is one throughput mode's outcome. The metrics map
-// holds per-mode observability rates derived from the default registry:
-// pool_hit_rate (pool leases served from the free list), plan_cache_hit_rate
-// (FFT plan lookups served from cache) and worker_utilization (busy time
-// per engine worker over the mode's wall time).
-type SessionsMeasurement struct {
-	Sessions      int                `json:"sessions"`
-	Layouts       int                `json:"layouts"`
-	ElapsedSec    float64            `json:"elapsed_sec"`
-	LayoutsPerSec float64            `json:"layouts_per_sec"`
-	Note          string             `json:"note,omitempty"`
-	Metrics       map[string]float64 `json:"metrics,omitempty"`
-}
-
-// SessionsRun is one labelled sweep of all modes.
-type SessionsRun struct {
-	Timestamp  string                         `json:"timestamp"`
-	GoMaxProcs int                            `json:"gomaxprocs"`
-	NumCPU     int                            `json:"numcpu"`
-	MaxIter    int                            `json:"max_iter"`
-	Note       string                         `json:"note,omitempty"`
-	Modes      map[string]SessionsMeasurement `json:"modes"`
-	// Snapshot is the full flat dump of the default metrics registry at
-	// the end of the sweep (-metrics only).
-	Snapshot map[string]float64 `json:"metrics_snapshot,omitempty"`
-}
-
-// modeMetrics derives the per-mode observability rates from two registry
-// snapshots bracketing the mode plus the engine's busy-time accumulator.
-// workers is the mode's logical worker count (a sessions/k Split can run
-// more logical workers than the root engine has), so utilization stays a
-// fraction of the scheduled capacity even when oversubscribed.
-func modeMetrics(before, after map[string]float64, wb *obs.WorkerBusy, wall time.Duration, workers int) map[string]float64 {
-	d := func(k string) float64 { return after[k] - before[k] }
-	m := map[string]float64{}
-	if leases := d("rt.pool.leases"); leases > 0 {
-		m["pool_hit_rate"] = d("rt.pool.reuses") / leases
-	}
-	if lookups := d("fft.plan_cache.hits") + d("fft.plan_cache.misses"); lookups > 0 {
-		m["plan_cache_hit_rate"] = d("fft.plan_cache.hits") / lookups
-	}
-	if wb != nil && wall > 0 {
-		m["worker_utilization"] = wb.UtilizationOver(wall, workers)
-	}
-	return m
-}
-
-// SessionsFile is the BENCH_sessions.json artefact.
-type SessionsFile struct {
-	Description string                 `json:"description"`
-	GOOS        string                 `json:"goos"`
-	GOARCH      string                 `json:"goarch"`
-	Runs        map[string]SessionsRun `json:"runs"`
-}
 
 const sessionsMaxIter = 5
 
@@ -102,22 +50,8 @@ func optimizeJob(sim *litho.Simulator, target *grid.Field) error {
 	return err
 }
 
-func sessionsMain(out, label, note, tracePath string, withSnapshot, withRecorder bool) {
+func sessionsMain(out, label, note, filter, tracePath string, withRecorder bool) {
 	eng := lsopc.GPUEngine()
-	// Per-worker busy-time accounting: Split sub-engines inherit the
-	// accumulator with disjoint slots, so the sessions/k fan-out
-	// attributes busy time to distinct workers. Sized for the widest
-	// fan-out of the sweep — Sessions(k) keeps at least one worker per
-	// sub-engine, so k can exceed the root worker count on small hosts.
-	maxWorkers := eng.Workers()
-	if n := runtime.NumCPU(); n > maxWorkers {
-		maxWorkers = n
-	}
-	if maxWorkers < 2 {
-		maxWorkers = 2 // the sweep always runs a sessions/2 mode
-	}
-	wb := obs.NewWorkerBusy(maxWorkers)
-	eng.InstrumentBusy(wb)
 	var popts []lsopc.PipelineOption
 	var sinks []lsopc.TraceSink
 	if tracePath != "" {
@@ -160,8 +94,8 @@ func sessionsMain(out, label, note, tracePath string, withSnapshot, withRecorder
 	defer pipe.Release()
 	cfg := pipe.Simulator().Config()
 
-	// Targets are rasterised once up front; every mode optimizes the
-	// same images.
+	// Targets are rasterised once up front; op i of every mode
+	// optimizes target i mod 10.
 	specs := lsopc.Benchmarks()
 	targets := make([]*grid.Field, len(specs))
 	for i, s := range specs {
@@ -172,137 +106,80 @@ func sessionsMain(out, label, note, tracePath string, withSnapshot, withRecorder
 		targets[i] = t
 	}
 
-	run := SessionsRun{
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		MaxIter:    sessionsMaxIter,
-		Note:       note,
-		Modes:      map[string]SessionsMeasurement{},
+	type mode struct {
+		name, note string
+		fn         func(b *testing.B)
 	}
-
 	// Before: one dedicated pipeline per job, kernel banks re-derived
 	// every time (bypassing the memoized bank cache via optics.NewBank).
-	fmt.Fprintf(os.Stderr, "running %-24s ", "dedicated-pipelines")
-	snap := lsopc.MetricsSnapshot()
-	wb.Reset()
-	start := time.Now()
-	for i := range targets {
-		nom, err := optics.NewBank(cfg.Optics, 0, eng)
-		if err != nil {
-			fatal(err)
+	modes := []mode{{"dedicated-pipelines", "per-job kernel-bank synthesis and scratch (pre-session architecture)", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			nom, err := optics.NewBank(cfg.Optics, 0, eng)
+			if err != nil {
+				fatal(err)
+			}
+			def, err := optics.NewBank(cfg.Optics, cfg.DefocusNM, eng)
+			if err != nil {
+				fatal(err)
+			}
+			sim, err := litho.NewWithBanks(cfg, eng, nom, def)
+			if err != nil {
+				fatal(err)
+			}
+			err = optimizeJob(sim, targets[i%len(targets)])
+			sim.Release()
+			if err != nil {
+				fatal(err)
+			}
 		}
-		def, err := optics.NewBank(cfg.Optics, cfg.DefocusNM, eng)
-		if err != nil {
-			fatal(err)
-		}
-		sim, err := litho.NewWithBanks(cfg, eng, nom, def)
-		if err != nil {
-			fatal(err)
-		}
-		err = optimizeJob(sim, targets[i])
-		sim.Release()
-		if err != nil {
-			fatal(err)
-		}
-	}
-	elapsed := time.Since(start)
-	record(&run, "dedicated-pipelines", 1, len(targets), elapsed,
-		"per-job kernel-bank synthesis and scratch (pre-session architecture)",
-		modeMetrics(snap, lsopc.MetricsSnapshot(), wb, elapsed, eng.Workers()))
-
+	}}}
 	// After: 1, 2, and NumCPU concurrent sessions over one shared bank.
 	counts := []int{1, 2}
 	if n := runtime.NumCPU(); n > 2 {
 		counts = append(counts, n)
 	}
 	for _, k := range counts {
-		name := fmt.Sprintf("sessions/%d", k)
-		fmt.Fprintf(os.Stderr, "running %-24s ", name)
-		sessions, err := pipe.Sessions(k)
-		if err != nil {
-			fatal(err)
-		}
-		snap := lsopc.MetricsSnapshot()
-		wb.Reset()
-		start := time.Now()
-		var wg sync.WaitGroup
-		errs := make([]error, k)
-		for w := 0; w < k; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(targets); i += k {
-					if err := optimizeJob(sessions[w].Simulator(), targets[i]); err != nil {
-						errs[w] = err
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		for _, err := range errs {
+		modes = append(modes, mode{fmt.Sprintf("sessions/%d", k), "shared bank, pooled scratch", func(b *testing.B) {
+			sessions, err := pipe.Sessions(k)
 			if err != nil {
 				fatal(err)
 			}
-		}
-		for _, s := range sessions {
-			s.Close()
-		}
-		logical := eng.Workers()
-		if k > logical {
-			logical = k
-		}
-		record(&run, name, k, len(targets), elapsed, "shared bank, pooled scratch",
-			modeMetrics(snap, lsopc.MetricsSnapshot(), wb, elapsed, logical))
-	}
-	if withSnapshot {
-		run.Snapshot = lsopc.MetricsSnapshot()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			errs := make([]error, k)
+			for w := 0; w < k; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := w; i < b.N; i += k {
+						if err := optimizeJob(sessions[w].Simulator(), targets[i%len(targets)]); err != nil {
+							errs[w] = err
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			b.StopTimer()
+			if err := errors.Join(errs...); err != nil {
+				fatal(err)
+			}
+			for _, s := range sessions {
+				s.Close()
+			}
+		}})
 	}
 
-	file := SessionsFile{
-		Description: "Concurrent optimization throughput (layouts/sec over the ten ICCAD benchmarks at PresetTest scale, MaxIter=5). dedicated-pipelines re-derives kernel banks per job like the pre-session architecture; sessions/k runs k concurrent sessions over one shared resource bank.",
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		Runs:        map[string]SessionsRun{},
-	}
-	if data, err := os.ReadFile(out); err == nil {
-		if err := json.Unmarshal(data, &file); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %s exists but is not valid JSON: %v\n", out, err)
-			os.Exit(1)
+	run := newRun(note)
+	for _, m := range modes {
+		if !strings.Contains(m.name, filter) {
+			continue
 		}
+		fmt.Fprintf(os.Stderr, "running %-24s ", m.name)
+		meas := measure(m.fn)
+		meas.Note = m.note
+		run.Benchmarks[m.name] = meas
 	}
-	if file.Runs == nil {
-		file.Runs = map[string]SessionsRun{}
-	}
-	file.Runs[label] = run
-
-	data, err := json.MarshalIndent(&file, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (label %q, %d modes)\n", out, label, len(run.Modes))
-}
-
-func record(run *SessionsRun, name string, k, layouts int, elapsed time.Duration, note string, metrics map[string]float64) {
-	m := SessionsMeasurement{
-		Sessions:      k,
-		Layouts:       layouts,
-		ElapsedSec:    elapsed.Seconds(),
-		LayoutsPerSec: float64(layouts) / elapsed.Seconds(),
-		Note:          note,
-		Metrics:       metrics,
-	}
-	run.Modes[name] = m
-	fmt.Fprintf(os.Stderr, "%8.2fs  %6.2f layouts/sec  pool-hit=%.0f%% util=%.0f%%\n",
-		m.ElapsedSec, m.LayoutsPerSec, 100*metrics["pool_hit_rate"], 100*metrics["worker_utilization"])
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchjson:", err)
-	os.Exit(1)
+	save(out, fmt.Sprintf("Concurrent optimization throughput over the ten ICCAD benchmarks at PresetTest scale, MaxIter=%d: ns_per_op is wall time per layout. dedicated-pipelines re-derives kernel banks per job like the pre-session architecture; sessions/k runs k concurrent sessions over one shared resource bank.", sessionsMaxIter),
+		map[string]benchfmt.Run{label: run})
 }

@@ -1,13 +1,11 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"lsopc"
 	"lsopc/internal/benchfmt"
@@ -44,8 +42,11 @@ func tiledMain(out, note, filter string) {
 	// places B1/B4 at (0,0), (1,1), (0,2) and (1,3)).
 	chip, err := layouts.Chip(4, 4, []string{"B1", "-", "-", "-", "-", "B4", "-", "-"})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		fatal(err)
+	}
+	name := "FullChip/" + chip.Name
+	if !strings.Contains(name, filter) {
+		fatal(fmt.Errorf("-bench %q excludes %s, the only benchmark of this leg", filter, name))
 	}
 
 	opts := lsopc.DefaultLevelSetOptions()
@@ -66,18 +67,15 @@ func tiledMain(out, note, filter string) {
 	{
 		probePipe, err := lsopc.NewPipeline(lsopc.PresetTest, eng)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		probe, err := probePipe.OptimizeTiled(chip, topts)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		probePipe.Release()
 		if len(probe.Grid.Tiles) < 4 {
-			fmt.Fprintf(os.Stderr, "benchjson: chip decomposes into %d tiles, want >= 4\n", len(probe.Grid.Tiles))
-			os.Exit(1)
+			fatal(fmt.Errorf("chip decomposes into %d tiles, want >= 4", len(probe.Grid.Tiles)))
 		}
 		occupied := 0
 		for _, st := range probe.Tiles {
@@ -100,8 +98,7 @@ func tiledMain(out, note, filter string) {
 			// Monolithic: one window spanning the whole chip.
 			mono, err := lsopc.NewCustomPipeline(chip.W/pitchNM, pitchNM, kernels, eng)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "benchjson:", err)
-				os.Exit(1)
+				fatal(err)
 			}
 			return func() error {
 				_, err := mono.OptimizeLevelSet(chip, opts)
@@ -112,8 +109,7 @@ func tiledMain(out, note, filter string) {
 			// Tiled: PresetTest windows (128 px = 2048 nm) over the chip.
 			tiledPipe, err := lsopc.NewPipeline(lsopc.PresetTest, eng)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "benchjson:", err)
-				os.Exit(1)
+				fatal(err)
 			}
 			return func() error {
 				_, err := tiledPipe.OptimizeTiled(chip, topts)
@@ -122,59 +118,21 @@ func tiledMain(out, note, filter string) {
 		}},
 	}
 
-	file := benchfmt.File{
-		Description: "Full-chip optimization wall time (10 iterations) on a sparse 4x4 cell-array chip (4 occupied slots, like real designs): one monolithic chip-spanning simulation window vs parallel tiled optimization with overlap-halo stitching (window = PresetTest grid, empty tiles skipped). Seam quality parity is enforced by TestTiledMatchesMonolithic; this artefact locks in the tiled scaling via cmd/benchdiff (-old-labels monolithic -new-labels tiled).",
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		Runs:        map[string]benchfmt.Run{},
-	}
-	if data, err := os.ReadFile(out); err == nil {
-		if err := json.Unmarshal(data, &file); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %s exists but is not valid JSON: %v\n", out, err)
-			os.Exit(1)
-		}
-	}
-	if file.Runs == nil {
-		file.Runs = map[string]benchfmt.Run{}
-	}
-
-	name := "FullChip/" + chip.Name
-	if filter != "" && !strings.Contains(name, filter) {
-		fmt.Fprintf(os.Stderr, "benchjson: filter %q excludes %s, nothing to do\n", filter, name)
-		return
-	}
+	runs := map[string]benchfmt.Run{}
 	for _, v := range variants {
 		fmt.Fprintf(os.Stderr, "running %-12s %-22s ", v.label, name)
 		iter, release := v.run()
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
+		run := newRun(v.note)
+		run.Benchmarks[name] = measure(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := iter(); err != nil {
-					b.Fatal(err)
+					fatal(err)
 				}
 			}
 		})
+		runs[v.label] = run
 		release()
 		runtime.GC()
-		m := benchfmt.Measurement{
-			NsPerOp:     r.NsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			Iterations:  r.N,
-		}
-		file.Runs[v.label] = benchfmt.Run{
-			Timestamp:  time.Now().UTC().Format(time.RFC3339),
-			GoMaxProcs: runtime.GOMAXPROCS(0),
-			NumCPU:     runtime.NumCPU(),
-			Note:       v.note,
-			Benchmarks: map[string]benchfmt.Measurement{name: m},
-		}
-		fmt.Fprintf(os.Stderr, "%12d ns/op (n=%d)\n", m.NsPerOp, m.Iterations)
 	}
-
-	if err := file.Save(out); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (labels monolithic+tiled)\n", out)
+	save(out, "Full-chip optimization wall time (10 iterations) on a sparse 4x4 cell-array chip (4 occupied slots, like real designs): one monolithic chip-spanning simulation window vs parallel tiled optimization with overlap-halo stitching (window = PresetTest grid, empty tiles skipped). Seam quality parity is enforced by TestTiledMatchesMonolithic; this artefact locks in the tiled scaling via cmd/benchdiff (-old-labels monolithic -new-labels tiled).", runs)
 }

@@ -6,8 +6,11 @@ package benchfmt
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
+	"runtime"
 	"sort"
 )
 
@@ -78,6 +81,28 @@ func (f *File) Save(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// Merge stores runs under their labels in the artefact at path and
+// keeps every other label already there, so before/after measurements
+// accumulate side by side. A missing file is created with the given
+// description; an existing file that does not decode is refused and
+// left as it was.
+func Merge(path, description string, runs map[string]Run) error {
+	f, err := Load(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		f, err = &File{Description: description, GOOS: runtime.GOOS, GOARCH: runtime.GOARCH}, nil
+	}
+	if err != nil {
+		return err
+	}
+	if f.Runs == nil {
+		f.Runs = map[string]Run{}
+	}
+	for label, run := range runs {
+		f.Runs[label] = run
+	}
+	return f.Save(path)
 }
 
 // Labels returns the run labels in sorted order.

@@ -1,6 +1,8 @@
 package benchfmt
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -165,5 +167,73 @@ func TestMeasurementValue(t *testing.T) {
 	}
 	if _, err := m.Value("walrus"); err == nil {
 		t.Fatal("unknown metric accepted")
+	}
+}
+
+func TestMerge(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.json")
+	a := mkFile(map[string]map[string]int64{"a": {"A": 1000}}).Runs["a"]
+	b := mkFile(map[string]map[string]int64{"b": {"A": 2000}}).Runs["b"]
+	if err := Merge(path, "desc", map[string]Run{"a": a}); err != nil {
+		t.Fatal(err)
+	}
+	if err := Merge(path, "ignored", map[string]Run{"b": b}); err != nil {
+		t.Fatal(err)
+	}
+	a2 := mkFile(map[string]map[string]int64{"a": {"A": 900}}).Runs["a"]
+	if err := Merge(path, "ignored", map[string]Run{"a": a2}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Description != "desc" || len(f.Runs) != 2 {
+		t.Fatalf("merged file: description %q, labels %v", f.Description, f.Labels())
+	}
+	if got := f.Runs["a"].Benchmarks["A"].NsPerOp; got != 900 {
+		t.Fatalf("label a = %d ns, want the replacement 900", got)
+	}
+	if got := f.Runs["b"].Benchmarks["A"].NsPerOp; got != 2000 {
+		t.Fatalf("label b = %d ns, want 2000 kept", got)
+	}
+
+	bad := filepath.Join(t.TempDir(), "bad.json")
+	junk := []byte("{not json")
+	if err := os.WriteFile(bad, junk, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := Merge(bad, "desc", map[string]Run{"a": a}); err == nil {
+		t.Fatal("invalid existing file accepted")
+	}
+	if got, _ := os.ReadFile(bad); !bytes.Equal(got, junk) {
+		t.Fatalf("invalid existing file overwritten: %q", got)
+	}
+}
+
+// TestCommittedArtefactsLoad: every BENCH_*.json at the repository root
+// is in this package's schema, so benchdiff can gate it.
+func TestCommittedArtefactsLoad(t *testing.T) {
+	paths, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no BENCH_*.json artefacts found")
+	}
+	for _, path := range paths {
+		f, err := Load(path)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		if len(f.Runs) == 0 {
+			t.Errorf("%s: no runs", path)
+		}
+		for label, run := range f.Runs {
+			if len(run.Benchmarks) == 0 {
+				t.Errorf("%s: run %q has no benchmarks", path, label)
+			}
+		}
 	}
 }

@@ -190,3 +190,39 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 		t.Fatal("checkpoint at a factor outside the schedule accepted")
 	}
 }
+
+// TestResumeRejectsMalformedCheckpoint: a real cancelled-run checkpoint
+// whose ψ claims 64×64 but carries 10 values, or whose iteration is
+// negative, must not resume.
+func TestResumeRejectsMalformedCheckpoint(t *testing.T) {
+	sim := newTestSim(t, 3)
+	target := crossTarget(64)
+	opts := DefaultOptions()
+	opts.MaxIter = 10
+
+	cp := cancelRun(t, sim, target, opts, 3)
+	opts.Sink = nil
+	short := func(cp *solve.Checkpoint) {
+		psi := cp.State["psi"]
+		state := make(map[string]*grid.Field, len(cp.State))
+		for k, f := range cp.State {
+			state[k] = f
+		}
+		state["psi"] = &grid.Field{W: psi.W, H: psi.H, Data: psi.Data[:10]}
+		cp.State = state
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*solve.Checkpoint)
+	}{
+		{"short psi", short},
+		{"negative iteration", func(cp *solve.Checkpoint) { cp.Iter = -3 }},
+		{"both", func(cp *solve.Checkpoint) { short(cp); cp.Iter = -3 }},
+	} {
+		bad := *cp
+		tc.mutate(&bad)
+		if res, err := Resume(context.Background(), sim, target, opts, &bad); err == nil {
+			t.Errorf("%s: resumed with a nil error (%d iterations, %d history rows)", tc.name, res.Iterations, len(res.History))
+		}
+	}
+}

@@ -82,9 +82,6 @@ func (e *Engine) InstrumentBusy(wb *obs.WorkerBusy) *Engine {
 	return e
 }
 
-// Busy returns the attached busy-time accumulator, or nil.
-func (e *Engine) Busy() *obs.WorkerBusy { return e.busy }
-
 // Split partitions the engine's workers into n sub-engines for nested
 // parallelism: an outer Parallel over n independent tasks (e.g. the
 // three process corners) can hand each task a sub-engine so the inner

@@ -16,7 +16,7 @@ type paddedInt64 struct {
 // slot offsets, for the sub-engines of an Engine.Split partition).
 // Worker k of a (sub-)engine adds the wall time of each leaf loop it
 // executes to its slot; utilization over a measured interval is then
-// total busy time divided by wall time × workers.
+// Total divided by wall time × workers.
 type WorkerBusy struct {
 	slots []paddedInt64
 }
@@ -29,9 +29,6 @@ func NewWorkerBusy(n int) *WorkerBusy {
 	}
 	return &WorkerBusy{slots: make([]paddedInt64, n)}
 }
-
-// Workers returns the slot count.
-func (w *WorkerBusy) Workers() int { return len(w.slots) }
 
 // Add records d of busy time for the given worker slot. Out-of-range
 // slots clamp to the last slot, so oversized Split partitions degrade
@@ -46,15 +43,6 @@ func (w *WorkerBusy) Add(slot int, d time.Duration) {
 	w.slots[slot].v.Add(int64(d))
 }
 
-// PerWorker returns each slot's accumulated busy time.
-func (w *WorkerBusy) PerWorker() []time.Duration {
-	out := make([]time.Duration, len(w.slots))
-	for i := range w.slots {
-		out[i] = time.Duration(w.slots[i].v.Load())
-	}
-	return out
-}
-
 // Total returns the summed busy time across all slots.
 func (w *WorkerBusy) Total() time.Duration {
 	var t int64
@@ -62,28 +50,4 @@ func (w *WorkerBusy) Total() time.Duration {
 		t += w.slots[i].v.Load()
 	}
 	return time.Duration(t)
-}
-
-// Reset zeroes every slot (between benchmark modes).
-func (w *WorkerBusy) Reset() {
-	for i := range w.slots {
-		w.slots[i].v.Store(0)
-	}
-}
-
-// Utilization returns Total / (wall × workers): the fraction of the
-// measured interval the workers spent in leaf compute loops.
-func (w *WorkerBusy) Utilization(wall time.Duration) float64 {
-	return w.UtilizationOver(wall, len(w.slots))
-}
-
-// UtilizationOver is Utilization normalized to an explicit logical
-// worker count — use when the accumulator is sized for the widest
-// fan-out but a particular measured interval only ran a subset (or an
-// oversubscribed Split) of the slots.
-func (w *WorkerBusy) UtilizationOver(wall time.Duration, workers int) float64 {
-	if wall <= 0 || workers <= 0 {
-		return 0
-	}
-	return float64(w.Total()) / (float64(wall) * float64(workers))
 }

@@ -205,17 +205,6 @@ func TestWorkerBusy(t *testing.T) {
 	if got := wb.Total(); got != 45*time.Millisecond {
 		t.Fatalf("total = %v, want 45ms", got)
 	}
-	per := wb.PerWorker()
-	if per[0] != 10*time.Millisecond || per[3] != 35*time.Millisecond {
-		t.Fatalf("per-worker = %v", per)
-	}
-	if u := wb.Utilization(100 * time.Millisecond); u != 45.0/400.0 {
-		t.Fatalf("utilization = %g", u)
-	}
-	wb.Reset()
-	if wb.Total() != 0 {
-		t.Fatal("reset did not zero")
-	}
 }
 
 func TestFlushHelper(t *testing.T) {

@@ -393,7 +393,10 @@ func (d *Driver) Checkpoint() *Checkpoint {
 // Restore loads a checkpoint into a freshly built driver (no steps
 // taken yet) so Run continues bit-identically from the captured
 // boundary. The driver must be configured exactly as the checkpointed
-// run was — same method, budget and iteration offset.
+// run was — same method, budget and iteration offset. A checkpoint at a
+// negative iteration, with a watchdog window position outside its
+// window, or with a state field whose Data does not hold exactly W×H
+// values, is rejected.
 func (d *Driver) Restore(cp *Checkpoint) error {
 	switch {
 	case cp == nil:
@@ -402,8 +405,22 @@ func (d *Driver) Restore(cp *Checkpoint) error {
 		return fmt.Errorf("solve: checkpoint method %q does not match run method %q", cp.Method, d.cfg.Method)
 	case cp.Offset != d.cfg.Offset:
 		return fmt.Errorf("solve: checkpoint iteration offset %d does not match the run's %d", cp.Offset, d.cfg.Offset)
+	case cp.Iter < 0:
+		return fmt.Errorf("solve: checkpoint at negative iteration %d", cp.Iter)
 	case cp.Iter > d.cfg.MaxIter || len(cp.History) > d.cfg.MaxIter:
 		return fmt.Errorf("solve: checkpoint at iteration %d exceeds the %d-iteration budget", cp.Iter, d.cfg.MaxIter)
+	}
+	if w := cp.Watchdog; w != nil && (w.WinLen < 0 || w.WinLen > len(w.Window) || w.WinNext < 0 || w.WinNext >= max(len(w.Window), 1)) {
+		return fmt.Errorf("solve: checkpoint watchdog window at %d+%d outside its %d slots", w.WinNext, w.WinLen, len(w.Window))
+	}
+	for key, f := range cp.State {
+		if f == nil {
+			return fmt.Errorf("solve: checkpoint field %q is nil", key)
+		}
+		// len(Data) == W*H, phrased so huge W and H cannot overflow.
+		if f.W <= 0 || f.H <= 0 || len(f.Data)%f.W != 0 || len(f.Data)/f.W != f.H {
+			return fmt.Errorf("solve: checkpoint field %q carries %d values for a %dx%d grid", key, len(f.Data), f.W, f.H)
+		}
 	}
 	d.i = cp.Iter
 	d.scale = cp.Scale

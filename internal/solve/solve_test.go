@@ -79,6 +79,9 @@ func (s *quadStepper) RestoreState(st map[string]*grid.Field) error {
 	if !ok {
 		return errors.New("quad: checkpoint missing field x")
 	}
+	if !f.SameShape(s.x) {
+		return fmt.Errorf("quad: checkpoint field x is %dx%d, want %dx%d", f.W, f.H, s.x.W, s.x.H)
+	}
 	s.x.CopyFrom(f)
 	return nil
 }
@@ -346,9 +349,33 @@ func TestDriverRestoreValidation(t *testing.T) {
 		t.Fatal("over-budget checkpoint accepted")
 	}
 	bad = *good
+	bad.Iter = -3
+	if err := mk().Restore(&bad); err == nil {
+		t.Fatal("negative-iteration checkpoint accepted")
+	}
+	bad = *good
 	bad.State = map[string]*grid.Field{}
 	if err := mk().Restore(&bad); err == nil {
 		t.Fatal("checkpoint without the state field accepted")
+	}
+	bad = *good
+	bad.State = map[string]*grid.Field{"x": {W: 2, H: 2, Data: []float64{1}}}
+	if err := mk().Restore(&bad); err == nil {
+		t.Fatal("field with fewer values than W*H accepted")
+	}
+	bad.State = map[string]*grid.Field{"x": nil}
+	if err := mk().Restore(&bad); err == nil {
+		t.Fatal("nil state field accepted")
+	}
+	pol := obs.DefaultHealthPolicy()
+	cfg := quadConfig(10)
+	cfg.Health = &pol
+	bad = *NewDriver(newQuadStepper(1), cfg).Checkpoint()
+	wd := *bad.Watchdog
+	wd.WinLen = len(wd.Window) + 1
+	bad.Watchdog = &wd
+	if err := NewDriver(newQuadStepper(1), cfg).Restore(&bad); err == nil {
+		t.Fatal("watchdog window length past its slots accepted")
 	}
 	if err := mk().Restore(good); err != nil {
 		t.Fatalf("valid checkpoint rejected: %v", err)
